@@ -172,14 +172,6 @@ def run_bench_sweep(
     )
     if telemetry:
         telemetry.close()
-        if report.skipped_cycles:
-            total = report.skipped_cycles + report.executed_cycles
-            print(
-                f"fast-forward: skipped {report.skipped_cycles:,} of "
-                f"{total:,} simulated cycles "
-                f"({100 * report.skip_ratio:.0f}%)",
-                file=sys.stderr,
-            )
     failed = [o for o in report.outcomes if not o.ok]
     if failed:
         details = "; ".join(

@@ -163,18 +163,13 @@ def _micro_profile(network: str, cycles: int, metrics: dict[str, float]) -> None
         CmpSystem(config).run(cycles)
     prefix = f"profile.{network}"
     wall = profiler.wall_seconds
-    # Per-cycle figures are per *simulated* cycle (executed + skipped):
-    # a fast-forward jump covers its cycles at near-zero cost, and that
-    # is exactly the speedup the trajectory should show.
-    total = profiler.total_cycles
+    total = profiler.cycles
     if wall > 0 and total:
         metrics[f"{prefix}.cycles_per_sec"] = total / wall
     for phase, row in profiler.report().items():
         metrics[f"{prefix}.{phase}.us_per_cycle"] = (
             1e6 * row["seconds"] / max(1, total)
         )
-    # "rate" suffix: higher is better under the direction-aware gate.
-    metrics[f"{prefix}.skip_rate"] = profiler.skipped / max(1, total)
 
 
 def _macro_sweep(cycles: int, workers: int, metrics: dict[str, float]) -> None:
@@ -187,7 +182,6 @@ def _macro_sweep(cycles: int, workers: int, metrics: dict[str, float]) -> None:
         begin = time.perf_counter()
         cold = run_sweep(spec, workers=workers, cache_dir=cache)
         metrics["sweep.cold_seconds"] = time.perf_counter() - begin
-        metrics["sweep.skip_rate"] = cold.skip_ratio
         begin = time.perf_counter()
         warm = run_sweep(spec, workers=workers, cache_dir=cache)
         metrics["sweep.warm_seconds"] = time.perf_counter() - begin

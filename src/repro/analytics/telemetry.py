@@ -116,12 +116,6 @@ class SweepTelemetry:
         self.ok = 0
         self.failed = 0
         self.from_cache = 0
-        #: Simulation-loop counters summed over completed points, so the
-        #: live line can show how much of the sweep is being
-        #: fast-forwarded (a high skip fraction explains per-point wall
-        #: times — and hence the ETA — dropping mid-sweep).
-        self.executed_cycles = 0
-        self.skipped_cycles = 0
         self.in_flight: tuple[str, ...] = ()
         self.elapsed = 0.0
         self.live = live
@@ -140,10 +134,6 @@ class SweepTelemetry:
             self.failed += 1
         if outcome.cached:
             self.from_cache += 1
-        if outcome.ok and outcome.result is not None:
-            loop = outcome.result.get("loop", {})
-            self.executed_cycles += loop.get("executed_cycles", 0)
-            self.skipped_cycles += loop.get("skipped_cycles", 0)
         self.eta.record(outcome.elapsed, cached=outcome.cached)
         if self.live:
             self._redraw()
@@ -166,9 +156,6 @@ class SweepTelemetry:
             f"failed {self.failed}",
             f"eta {format_eta(eta)}",
         ]
-        total_cycles = self.executed_cycles + self.skipped_cycles
-        if self.skipped_cycles and total_cycles:
-            parts.append(f"ff {100 * self.skipped_cycles / total_cycles:.0f}%")
         if self.in_flight and self.done < self.total:
             shown = ", ".join(self.in_flight[:2])
             if len(self.in_flight) > 2:

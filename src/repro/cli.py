@@ -640,13 +640,8 @@ def _cmd_sweep(args) -> int:
     )
     telemetry.close()
 
-    skip = ""
-    if report.skipped_cycles:
-        skip = (f", fast-forwarded {report.skipped_cycles:,} of "
-                f"{report.skipped_cycles + report.executed_cycles:,} cycles "
-                f"({100 * report.skip_ratio:.0f}%)")
     print(f"done in {report.wall_seconds:.1f}s: {report.executed} executed, "
-          f"{report.from_cache} from cache, {report.failed} failed{skip}")
+          f"{report.from_cache} from cache, {report.failed} failed")
     if report.ok:
         header = f"  {'point':<28} {'IPC':>8} {'latency':>8}"
         print(header)
@@ -961,7 +956,7 @@ def _cmd_profile(args) -> int:
                 "packets_delivered": result.packets_delivered,
                 "wall_seconds": profiler.wall_seconds,
                 "attributed_seconds": profiler.attributed_seconds,
-                "total_cycles": profiler.total_cycles,
+                "total_cycles": profiler.cycles,
                 "phases": profiler.report(),
             },
             indent=1,

@@ -38,10 +38,6 @@ class CmpResults:
     fsoi: dict = field(default_factory=dict)       # collision/hint details
     mesh_activity: dict = field(default_factory=dict)  # router switching
     traffic_matrix: list = field(default_factory=list)  # [src][dst] packets
-    #: Simulation-loop accounting: {"executed_cycles", "skipped_cycles"}.
-    #: Wall-clock bookkeeping only — everything else in the result is
-    #: bit-identical whether cycles were executed or fast-forwarded.
-    loop: dict = field(default_factory=dict)
     #: Health annotations (repro.obs.health): HealthEvent dicts attached
     #: by the CLI / sweep runner when watchdogs fired.  Serialized only
     #: when non-empty so clean-run results stay byte-identical to
@@ -102,7 +98,6 @@ class CmpResults:
             "fsoi": dict(self.fsoi),
             "mesh_activity": dict(self.mesh_activity),
             "traffic_matrix": [list(row) for row in self.traffic_matrix],
-            "loop": dict(self.loop),
         }
         if self.health:
             out["health"] = [dict(event) for event in self.health]
@@ -117,7 +112,11 @@ class CmpResults:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CmpResults":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Keys it does not know are ignored, so archived results that
+        still carry the retired ``loop`` block load unchanged.
+        """
         spec = data["reply_latency"]
         hist = Histogram("reply_latency", spec["lo"], spec["hi"], spec["nbins"])
         hist.bins = list(spec["bins"])
@@ -142,7 +141,6 @@ class CmpResults:
             fsoi=dict(data["fsoi"]),
             mesh_activity=dict(data["mesh_activity"]),
             traffic_matrix=[list(row) for row in data["traffic_matrix"]],
-            loop=dict(data.get("loop", {})),
             health=[dict(event) for event in data.get("health", [])],
         )
 

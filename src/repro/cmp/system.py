@@ -106,19 +106,14 @@ class CmpConfig:
     #: (the paper measures inside the parallel sections, long after the
     #: data is first touched).  Streaming regions stay cold by design.
     warm_start: bool = True
-    #: Next-event fast-forward: jump over cycles where no subsystem can
-    #: change state (docs/performance.md).  Results are bit-identical
-    #: either way; disable here (or via REPRO_NO_FASTFORWARD=1) only to
-    #: cross-check or to step the naive loop under a debugger.
-    fast_forward: bool = True
     #: Columnar vectorized engines: the cores phase keeps per-node
     #: counters and deadlines in numpy arrays with replayed RNG draws,
     #: the network tick (mesh and FSOI) derives per-cycle worklists
-    #: and fast-forward horizons from write-through readiness columns,
-    #: and coherence messages batch through a per-cycle mailbox into
-    #: fused per-type kernels (repro.coherence.vector), so passive
-    #: nodes/routers/lanes cost nothing per cycle and protocol dispatch
-    #: sheds its layers of indirection (docs/performance.md).  Results
+    #: from write-through readiness columns, and coherence messages
+    #: batch through a per-cycle mailbox into fused per-type kernels
+    #: (repro.coherence.vector), so passive nodes/routers/lanes cost
+    #: nothing per cycle and protocol dispatch sheds its layers of
+    #: indirection (docs/performance.md).  Results
     #: are bit-identical either way; disable here (or via
     #: REPRO_NO_VECTOR=1) to run the object-per-entity reference loops.
     vectorized: bool = True
@@ -183,15 +178,7 @@ class CmpSystem:
         self._is_fsoi = isinstance(self.network, FsoiNetwork)
         self._calendar = CycleCalendar()
         self._overflow: list[deque[Packet]] = [deque() for _ in range(n)]
-        # Fast-forward accounting (docs/performance.md): every simulated
-        # cycle is either executed by tick() or jumped by _skip_to().
-        self.executed_cycles = 0
-        self.skipped_cycles = 0
-        self._pin_core = 0  # last core seen pinning the horizon to "now"
         self._due = self._calendar._heap  # cached guard (never rebound)
-        self._fast_forward = config.fast_forward and os.environ.get(
-            "REPRO_NO_FASTFORWARD", ""
-        ) in ("", "0")
         self._overflow_active: set[int] = set()  # nodes with queued packets
         # Per-system packet ids: the global default factory in
         # :class:`Packet` depends on process history, which would make
@@ -647,7 +634,6 @@ class CmpSystem:
             controller.tick(cycle)
         self.network.tick(cycle)
         self._core_phase(cycle)
-        self.executed_cycles += 1
         self.cycle = cycle + 1
 
     def _drain_overflow(self, cycle: int) -> None:
@@ -705,136 +691,13 @@ class CmpSystem:
         self._core_phase(cycle)
         PROFILER.add("cores", perf_counter() - t4)
         PROFILER.cycle_done()
-        self.executed_cycles += 1
         self.cycle = cycle + 1
-
-    # -- next-event fast-forward (docs/performance.md) ------------------
-
-    def _next_event(self) -> Optional[int]:
-        """Min over every subsystem's event horizon.
-
-        Returns the current cycle when any subsystem can change state
-        *now* (the loop must tick), a future cycle when everything is
-        provably inert until then (the loop may jump), or ``None`` when
-        the whole system is quiescent (nothing will ever happen again).
-        """
-        cycle = self.cycle
-        # Pin cache: a RUNNING core pins the horizon to "now" no matter
-        # what the other subsystems report, and cores run in multi-cycle
-        # bursts — remembering the last pinning core turns the common
-        # fully-active case into a single state check.
-        if self.cores[self._pin_core].state is CoreState.RUNNING:
-            return cycle
-        horizon = None
-        due = self._due
-        if due:
-            c = due[0][0]
-            if c <= cycle:  # pragma: no cover - _at clamps past cycles
-                return cycle
-            horizon = c
-        if self._overflow_active:
-            # A backed-up injection retries (and counts a refusal)
-            # every cycle, exactly as the naive loop does.
-            return cycle
-        if self._coherence is not None:
-            c = self._coherence.next_event(cycle)
-            if c is not None:  # pragma: no cover - drained within the tick
-                return cycle
-        if self._vector is not None:
-            c = self._vector.next_core_event(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if horizon is None or c < horizon:
-                    horizon = c
-        else:
-            for index, core in enumerate(self.cores):
-                c = core.next_event(cycle)
-                if c is not None:
-                    if c <= cycle:
-                        if core.state is CoreState.RUNNING:
-                            self._pin_core = index
-                        return cycle
-                    if horizon is None or c < horizon:
-                        horizon = c
-        for controller in self._controllers:
-            c = controller.next_event(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if horizon is None or c < horizon:
-                    horizon = c
-        c = self.network.next_event(cycle)
-        if c is not None:
-            if c <= cycle:
-                return cycle
-            if horizon is None or c < horizon:
-                horizon = c
-        if TIMELINE.enabled:
-            # Cap the jump at the next window boundary so samples land
-            # on the same cycles whether or not the loop fast-forwards.
-            # Only the loop executed/skipped split changes — results
-            # stay bit-identical (any prefix of a legal jump is legal).
-            c = TIMELINE.due_cycle(self)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if horizon is None or c < horizon:
-                    horizon = c
-        return horizon
-
-    def _skip_to(self, end: int) -> None:
-        """Jump the clock from ``self.cycle`` to ``end`` in one step.
-
-        Every per-cycle side effect the naive loop would have produced
-        over ``[cycle, end)`` is applied in bulk: core stall/sync
-        counters (and lock-hold countdowns), the network's elapsed-slot
-        tallies.  Tracing and profiling record the span instead of
-        inhibiting the skip.
-        """
-        start = self.cycle
-        gap = end - start
-        if gap <= 0:  # pragma: no cover - callers guarantee end > cycle
-            return
-        if self._vector is None:
-            for core in self.cores:
-                core.skip(gap)
-        # else: the columnar ledger accrues the jumped span lazily at
-        # the next transition or flush — no per-core work at all.
-        self.network.skip(start, end)
-        self.skipped_cycles += gap
-        if TRACE.enabled:
-            TRACE.cycle = start
-            TRACE.emit("fast_forward", cat="loop", cycle=start, dur=gap)
-        if PROFILER.enabled:
-            PROFILER.skip(gap)
-        self.cycle = end
-
-    def _step(self, target: int) -> None:
-        """Advance by one tick or one fast-forward jump, capped at
-        ``target`` (exclusive)."""
-        if PROFILER.enabled:
-            t0 = perf_counter()
-            horizon = self._next_event()
-            PROFILER.add("horizon", perf_counter() - t0)
-        else:
-            horizon = self._next_event()
-        if horizon is None:
-            self._skip_to(target)
-        elif horizon > self.cycle:
-            self._skip_to(min(horizon, target))
-        else:
-            self.tick()
 
     def run(self, cycles: int) -> CmpResults:
         """Simulate ``cycles`` cycles and collect the results."""
         target = self.cycle + cycles
-        if self._fast_forward:
-            while self.cycle < target:
-                self._step(target)
-        else:
-            while self.cycle < target:
-                self.tick()
+        while self.cycle < target:
+            self.tick()
         if TIMELINE.enabled:
             TIMELINE.on_run_end(self)  # final (possibly partial) window
         return self._results()
@@ -847,12 +710,8 @@ class CmpSystem:
         This is the paper's own methodology — execution *time* for a
         fixed workload ("we measure the same workload"); the speedup of
         two configurations is then their cycle-count ratio, identical
-        to the IPC ratio only in steady state.
-
-        The fast-forward path checks the work target once per step:
-        instruction counts only move on executed ticks (no core is
-        RUNNING during a jump), so the stop cycle matches the naive
-        loop's exactly.
+        to the IPC ratio only in steady state.  The work target is
+        checked before every tick.
         """
         if instructions < 1:
             raise ValueError(f"need a positive work target: {instructions}")
@@ -862,10 +721,7 @@ class CmpSystem:
                 if TIMELINE.enabled:
                     TIMELINE.on_run_end(self)
                 return self._results()
-            if self._fast_forward:
-                self._step(limit)
-            else:
-                self.tick()
+            self.tick()
         raise RuntimeError(
             f"work target {instructions} not reached within {max_cycles} cycles"
         )
@@ -1020,10 +876,6 @@ class CmpSystem:
             fsoi=fsoi,
             mesh_activity=mesh_activity,
             traffic_matrix=self.network.traffic_matrix(),
-            loop={
-                "executed_cycles": self.executed_cycles,
-                "skipped_cycles": self.skipped_cycles,
-            },
         )
 
 

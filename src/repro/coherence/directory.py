@@ -20,12 +20,9 @@ to **DS** (owner downgraded to S, requester added as S) where the
 scanned table prints "/DM"; DS is the only reading consistent with the
 L1 table's ``Dwg -> DwgAck(D)/S`` row.
 
-Timing note for the fast-forward engine (docs/performance.md): the
-directory is *purely reactive* — it has no tick, never self-schedules,
-and every outgoing message routes through the system calendar via its
-``send`` callback.  It therefore contributes no event horizon of its
-own; its future activity is always represented by a calendar entry or
-an in-flight packet, both already covered by other horizons.
+The directory is *purely reactive*: it has no tick, never
+self-schedules, and every outgoing message routes through the system
+calendar via its ``send`` callback.
 """
 
 from __future__ import annotations

@@ -47,9 +47,7 @@ Tracing forces the reference path per delivery (the handlers own the
 ``l1_event``/``dir_event`` emission points, and a deferred batch would
 interleave trace records differently); fault-plan and capacity-bounded
 runs keep the mailbox but route every message through the reference
-dispatch.  Fast-forward composes through
-:meth:`CoherenceVectorEngine.next_event`: a non-empty mailbox pins the
-horizon to "now" (in practice the drain leaves it empty between ticks).
+dispatch.
 
 The reference dispatch remains the baseline implementation, selected
 with ``CmpConfig(vectorized=False)`` or ``REPRO_NO_VECTOR=1``.
@@ -60,7 +58,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappush
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -213,16 +211,6 @@ class CoherenceVectorEngine:
         system = self.system
         system._dispatch(msg.dest, msg)
         system._release_line(node, msg.line)
-
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Fast-forward horizon: a queued mailbox pins to "now".
-
-        Every network drains within its own tick, so between ticks the
-        mailbox is empty and the engine contributes no horizon; the
-        guard exists so the composition stays exact by construction
-        rather than by schedule coincidence.
-        """
-        return cycle if self._mailbox else None
 
     # ------------------------------------------------------------------
     # columns: bulk accrual and the audit

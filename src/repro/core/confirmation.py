@@ -140,14 +140,6 @@ class ConfirmationChannel:
         """Deliver everything due at ``cycle``."""
         self._calendar.run_due(cycle)
 
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Fast-forward horizon: the earliest pending arrival, if any.
-
-        Arrivals are scheduled ``delay >= 1`` cycles ahead, so the heap
-        top is never in the past relative to the network's tick.
-        """
-        return self._calendar.next_cycle()
-
     def pending(self) -> int:
         """Number of queued deliveries (for drain checks)."""
         return len(self._calendar)

@@ -64,7 +64,7 @@ class LaneConfig:
         """Serialization latency = slot length, CPU cycles.
 
         Cached (the config is frozen, hence hashable) — the network's
-        tick and fast-forward horizons ask for it constantly.
+        tick asks for it constantly.
 
         >>> LaneConfig().slot_cycles(LaneKind.META)
         2
@@ -131,18 +131,3 @@ class LaneConfig:
         slot = self.slot_cycles(lane)
         return ((cycle + slot - 1) // slot) * slot
 
-    def slots_in_range(self, start: int, end: int, lane: LaneKind) -> int:
-        """Number of slot boundaries for ``lane`` in ``[start, end)``.
-
-        This is how a fast-forward skip over ``[start, end)`` accounts
-        the ``_start_slot`` calls the naive loop would have made.
-
-        >>> LaneConfig().slots_in_range(0, 10, LaneKind.DATA)
-        2
-        >>> LaneConfig().slots_in_range(1, 5, LaneKind.META)
-        2
-        """
-        slot = self.slot_cycles(lane)
-        first = (start + slot - 1) // slot  # index of first boundary >= start
-        past = (end + slot - 1) // slot     # index of first boundary >= end
-        return max(0, past - first)

@@ -199,10 +199,10 @@ class FsoiNetwork(Interconnect):
         self._due = self._calendar._heap
         self._conf_due = self.confirmations._calendar._heap
         # Pending transmissions (queued + backed-off) per lane.  Kept
-        # incrementally so quiescent() and the fast-forward horizon are
-        # O(1) checks instead of O(N·lanes) scans per tick.
+        # incrementally so quiescent() and the idle-slot check are O(1)
+        # instead of O(N·lanes) scans per tick.
         self._lane_pending = {LaneKind.META: 0, LaneKind.DATA: 0}
-        # Slot lengths, precomputed once for the tick/horizon hot paths
+        # Slot lengths, precomputed once for the tick hot path
         # (the tuple form avoids a dict-view allocation every cycle).
         self._slot_len = {
             lane: config.lanes.slot_cycles(lane)
@@ -335,67 +335,6 @@ class FsoiNetwork(Interconnect):
             and self._lane_pending[LaneKind.META] == 0
             and self._lane_pending[LaneKind.DATA] == 0
         )
-
-    # -- fast-forward horizon (see docs/performance.md) -----------------
-
-    def next_event(self, cycle: int) -> int | None:
-        """Earliest future cycle at which the network can change state.
-
-        The horizon is the min over: the confirmation calendar, the
-        outcome calendar, and — per lane with pending transmissions —
-        the first slot boundary at or after the earliest packet becomes
-        eligible.  The pure-ALOHA ablation (``slotted=False``) starts
-        transmissions on any cycle, so it pins the horizon to "now"
-        (fast-forward inhibited).  While a fault plan has a lane marked
-        down, every slot boundary must still be evaluated (the sender's
-        healed-lane probe happens there), so the horizon is capped at
-        the next boundary.
-        """
-        if not self.config.slotted:
-            return cycle
-        horizon = self.confirmations.next_event(cycle)
-        c = self._calendar.next_cycle()
-        if c is not None and (horizon is None or c < horizon):
-            horizon = c
-        for lane, slot_len in self._slot_len.items():
-            if self._lane_pending[lane] == 0:
-                continue
-            earliest = None
-            for state in self._state[lane]:
-                for entry in state.retx:
-                    if earliest is None or entry.release < earliest:
-                        earliest = entry.release
-                queue = state.queue
-                if queue:
-                    ready = queue[0].scheduled_cycle
-                    if earliest is None or ready < earliest:
-                        earliest = ready
-            if earliest is None:  # pragma: no cover - counter invariant
-                continue
-            if earliest < cycle:
-                earliest = cycle
-            boundary = ((earliest + slot_len - 1) // slot_len) * slot_len
-            if horizon is None or boundary < horizon:
-                horizon = boundary
-        if self._injector is not None and self._injector.suppression_active:
-            for slot_len in self._slot_len.values():
-                boundary = ((cycle + slot_len - 1) // slot_len) * slot_len
-                if horizon is None or boundary < horizon:
-                    horizon = boundary
-        if horizon is not None and horizon < cycle:
-            return cycle
-        return horizon
-
-    def skip(self, start: int, end: int) -> None:
-        """Account the slot boundaries a fast-forward over ``[start, end)``
-        jumped past (the naive loop's ``_start_slot`` calls would have
-        found nothing to do, but they do count elapsed slots — the
-        denominator of Figure 3's transmission/collision probabilities).
-        """
-        for lane in (LaneKind.META, LaneKind.DATA):
-            boundaries = self.lanes.slots_in_range(start, end, lane)
-            if boundaries:
-                self._lane_stats[lane]["slots"].add(boundaries)
 
     # ------------------------------------------------------------------
     # Slot processing

@@ -1,10 +1,9 @@
 """The columnar vectorized FSOI engine.
 
 ``FsoiNetwork``'s reference slot gather visits every node at every slot
-boundary and re-scans each node's retransmission list, and its
-fast-forward horizon re-walks every queue and retransmission entry on
-every call.  Both are O(nodes) regardless of how many nodes actually
-hold traffic — the cost this engine removes.
+boundary and re-scans each node's retransmission list: O(nodes)
+regardless of how many nodes actually hold traffic — the cost this
+engine removes.
 
 The engine mirrors each (lane, node)'s *readiness* — the earliest cycle
 its oldest eligible packet can transmit, i.e. ``min(retransmission
@@ -18,9 +17,8 @@ the columns:
   (:func:`~repro.net.kernels.due_indices`; ascending order replays the
   reference 0..N-1 sweep, and a skipped node's pick would have returned
   ``None`` without side effects — bit-exact);
-* the fast-forward horizon is a lane-min lookup rounded up to the slot
-  boundary (:func:`~repro.net.kernels.slot_horizon`) instead of an
-  O(nodes·retx) scan.
+* a slot whose lane minimum lies in the future returns before the
+  gather, so pending-but-ineligible traffic costs one lookup.
 
 The per-lane minimum itself is kept incrementally: a write below the
 cached minimum lowers it exactly; removing the cell that held the
@@ -32,8 +30,7 @@ Fault plans keep the reference gather: sender-side lane sparing probes
 (``lane_suppressed``) un-mark healed lanes as a *side effect* of being
 queried each slot, including for nodes with nothing to send, so the
 idle-node shortcut would change when a lane heals.  The columns stay
-maintained either way (every mutation goes through the hook), so the
-horizon stays O(1) under faults too.
+maintained either way (every mutation goes through the hook).
 
 The columns are hybrid: a plain python list mirrors each numpy column
 write-through, and below :data:`_SCAN_THRESHOLD` nodes the due scans
@@ -51,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.network import FsoiConfig, FsoiNetwork, _LaneState
-from repro.net.kernels import NEVER, due_indices, slot_horizon
+from repro.net.kernels import NEVER, due_indices
 from repro.net.packet import LaneKind
 from repro.obs.trace import TRACE
 from repro.util.rng import RngHub
@@ -224,32 +221,6 @@ class VectorFsoiNetwork(FsoiNetwork):
                 self._handle_solo(lane, cycle, slot_len, members[0])
             else:
                 self._handle_collision(lane, cycle, slot_len, dst, members)
-
-    # -- fast-forward horizon -------------------------------------------
-
-    def next_event(self, cycle: int) -> int | None:
-        if not self.config.slotted:
-            return cycle
-        horizon = self.confirmations.next_event(cycle)
-        c = self._calendar.next_cycle()
-        if c is not None and (horizon is None or c < horizon):
-            horizon = c
-        for lane, slot_len in self._slot_items:
-            if self._lane_pending[lane] == 0:
-                continue
-            boundary = slot_horizon(self._lane_ready_min(lane), cycle, slot_len)
-            if boundary is None:  # pragma: no cover - counter invariant
-                continue
-            if horizon is None or boundary < horizon:
-                horizon = boundary
-        if self._injector is not None and self._injector.suppression_active:
-            for slot_len in self._slot_len.values():
-                boundary = ((cycle + slot_len - 1) // slot_len) * slot_len
-                if horizon is None or boundary < horizon:
-                    horizon = boundary
-        if horizon is not None and horizon < cycle:
-            return cycle
-        return horizon
 
     # -- invariants ------------------------------------------------------
 

@@ -140,22 +140,3 @@ class CoronaNetwork(Interconnect):
             not any(ch.queues[n] for n in range(self.num_nodes))
             for ch in self._channels
         )
-
-    def next_event(self, cycle: int) -> int | None:
-        """Fast-forward horizon.  A held token sleeps until release; a
-        sweeping token (``idle`` false, or packets queued anywhere on
-        the channel) advances every cycle, pinning the horizon to "now".
-        A channel that went idle with empty queues contributes nothing.
-        """
-        horizon = min(self._deliveries) if self._deliveries else None
-        if horizon is not None and horizon <= cycle:
-            return cycle
-        for channel in self._channels:
-            if channel.owner_until >= cycle:
-                release = channel.owner_until + 1
-                if horizon is None or release < horizon:
-                    horizon = release
-                continue
-            if not channel.idle or any(channel.queues):
-                return cycle
-        return horizon

@@ -148,46 +148,6 @@ class Core:
             # fill; BARRIER_WAIT / LOCK_WAIT wait for a release signal.
             self.sync_cycles.add()
 
-    # -- fast-forward horizon (see docs/performance.md) -----------------
-
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle at which this core can change state.
-
-        ``cycle`` ("now") means the core must tick every cycle; ``None``
-        means it is blocked on an external event (a fill or a release
-        signal) and contributes no horizon of its own.
-        """
-        state = self.state
-        if state is CoreState.RUNNING:
-            return cycle
-        if state is CoreState.LOCK_HOLD:
-            # The release access happens on the tick that takes
-            # ``_hold_left`` to zero — the (hold_left - 1)-th from now.
-            return cycle + max(0, self._hold_left - 1)
-        if state in (CoreState.BARRIER_SPIN, CoreState.LOCK_SPIN):
-            # Between polls the spin loop only burns sync cycles.
-            return self._next_spin if self._next_spin > cycle else cycle
-        # STALLED / *_ARRIVE / *_WAIT / LOCK_RELEASE: woken by a fill or
-        # a confirmation-channel signal, both of which are calendar- or
-        # network-driven events with their own horizons.
-        return None
-
-    def skip(self, cycles: int) -> None:
-        """Account ``cycles`` skipped ticks without running them.
-
-        Only valid while the per-tick body is a pure counter update —
-        i.e. strictly before :meth:`next_event`'s horizon.  The caller
-        (``CmpSystem._skip_to``) guarantees that; a RUNNING core pins
-        the horizon to "now" and is never skipped.
-        """
-        state = self.state
-        if state is CoreState.STALLED:
-            self.stall_cycles.add(cycles)
-        else:
-            self.sync_cycles.add(cycles)
-            if state is CoreState.LOCK_HOLD:
-                self._hold_left -= cycles
-
     def _issue(self, cycle: int) -> None:
         for _slot in range(self.config.ipc):
             op = self._pending

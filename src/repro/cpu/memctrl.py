@@ -127,16 +127,6 @@ class MemoryController:
             reply_delay,
         )
 
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Fast-forward horizon: next cycle a queued transfer can start.
-
-        ``None`` when idle — new work arrives via :meth:`handle`, which
-        is calendar-driven and carries its own horizon.
-        """
-        if not self._queue:
-            return None
-        return max(cycle, self._busy_until)
-
     @property
     def pending(self) -> int:
         return len(self._queue)

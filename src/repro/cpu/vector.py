@@ -19,9 +19,7 @@ is **bit-exact** with the naive loop (every golden snapshot, counter and
   the between-poll stretches of a spin) cost *nothing per cycle*: their
   counter arithmetic is charged lazily, in bulk, at the next state
   transition or flush.  This is legal because a passive tick's entire
-  body is ``counter += 1`` — the same argument that makes the
-  fast-forward engine's ``skip()`` exact, applied per node instead of
-  per system.
+  body is ``counter += 1``, so ``k`` passive ticks are ``counter += k``.
 * **Event-scheduled actives** — the only states with per-cycle actions
   are RUNNING (issue), LOCK_HOLD (the release tick) and the spin states
   (the polls).  RUNNING nodes live in a set; hold releases and spin
@@ -801,10 +799,8 @@ class VectorCoreEngine:
     Owns the parallel arrays (accrual boundaries, pending bucket
     counts, state codes, hold/spin deadlines), the RUNNING set and the
     hold/spin heaps.  ``CmpSystem`` calls :meth:`core_phase` in place
-    of the per-core tick loop, :meth:`next_core_event` for the cores'
-    contribution to the fast-forward horizon, and :meth:`flush` before
-    reading counters.  Skips need no per-core work at all: the lazy
-    ledger charges jumped cycles at the next transition or flush.
+    of the per-core tick loop and :meth:`flush` before reading
+    counters.
     """
 
     def __init__(self, system):
@@ -961,39 +957,6 @@ class VectorCoreEngine:
                         heappush(spin_heap, (poll, j))
         finally:
             self._in_phase = False
-
-    # -- fast-forward horizon (docs/performance.md) ----------------------
-
-    def next_core_event(self, cycle: int) -> Optional[int]:
-        """The cores' joint horizon: min over running/holds/polls.
-
-        Matches the min over every naive ``Core.next_event`` exactly:
-        a RUNNING node pins "now"; otherwise the earliest valid hold
-        release or spin poll; ``None`` when every node is blocked on an
-        external event.  Stale heap entries (the node left the state)
-        are discarded lazily.
-        """
-        if self._running:
-            return cycle
-        horizon = None
-        heap = self._hold_heap
-        hold_at = self.hold_at
-        while heap:
-            deadline, j = heap[0]
-            if hold_at[j] == deadline:
-                horizon = deadline
-                break
-            heappop(heap)
-        heap = self._spin_heap
-        spin_at = self.spin_at
-        while heap:
-            deadline, j = heap[0]
-            if spin_at[j] == deadline:
-                if horizon is None or deadline < horizon:
-                    horizon = deadline
-                break
-            heappop(heap)
-        return horizon
 
     # -- settlement ------------------------------------------------------
 

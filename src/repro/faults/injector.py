@@ -114,18 +114,6 @@ class FaultInjector:
         if self._dark_streak.pop(key, None) is not None:
             self._marked_down.discard(key)
 
-    @property
-    def suppression_active(self) -> bool:
-        """Whether any lane is currently marked down by its sender.
-
-        While true, :meth:`lane_suppressed` is *stateful*: querying it
-        at a slot boundary is what un-marks a healed lane.  The network
-        therefore caps its fast-forward horizon at the next boundary so
-        no query — and no un-marking — is ever skipped.  When false,
-        ``lane_suppressed`` is pure and boundaries may be skipped.
-        """
-        return bool(self._marked_down)
-
     def lane_suppressed(self, node: int, lane: LaneKind, cycle: int) -> bool:
         """Whether the sender has detected its dead lane and spares it.
 

@@ -125,19 +125,3 @@ class IdealNetwork(Interconnect):
 
     def quiescent(self) -> bool:
         return not self._deliveries and not any(self._queues)
-
-    def next_event(self, cycle: int) -> int | None:
-        """Fast-forward horizon: min over pending deliveries and, per
-        queued source, the cycle its serialization channel frees up."""
-        horizon = min(self._deliveries) if self._deliveries else None
-        if horizon is not None and horizon <= cycle:
-            return cycle
-        for node, queue in enumerate(self._queues):
-            if not queue:
-                continue
-            free = self._channel_free_at[node]
-            if free <= cycle:
-                return cycle
-            if horizon is None or free < horizon:
-                horizon = free
-        return horizon

@@ -134,45 +134,6 @@ class MeshNetwork(Interconnect):
             return False
         return all(router.occupancy() == 0 for router in self.routers)
 
-    def next_event(self, cycle: int) -> int | None:
-        """Fast-forward horizon: min over pending ejections, per-router
-        head-flit readiness, and injection *progress*.
-
-        An injection slot pins the horizon to "now" only when it can
-        actually advance this cycle: an in-flight packet with a credit
-        on its allocated VC, or a fresh queue head with an allocatable
-        VC.  A credit- or VC-blocked injection unblocks only after its
-        local router forwards a flit, and any router forward happens no
-        earlier than the router readiness horizons already in the min —
-        so reporting the future horizon instead of "now" is exact, and
-        lets fast-forward engage on mesh runs whose only live work is
-        buffered traffic maturing through router/link latencies.
-        """
-        for node, state in enumerate(self._inject_state):
-            if state is None:
-                continue
-            if self.routers[node].credits(Port.LOCAL, state[1]) > 0:
-                return cycle
-        for node, queue in enumerate(self._inject_queues):
-            if (
-                queue
-                and self._inject_state[node] is None
-                and self._allocate_injection_vc(self.routers[node]) is not None
-            ):
-                return cycle
-        horizon = min(self._deliveries) if self._deliveries else None
-        if horizon is not None and horizon <= cycle:
-            return cycle
-        for router in self.routers:
-            c = router.next_event(cycle)
-            if c is None:
-                continue
-            if c <= cycle:
-                return cycle
-            if horizon is None or c < horizon:
-                horizon = c
-        return horizon
-
     # -- injection / ejection -----------------------------------------------
 
     def _inject(self, node: int, cycle: int) -> None:

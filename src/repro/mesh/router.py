@@ -162,24 +162,6 @@ class Router:
         for out_port in Port:
             self._arbitrate_output(out_port, cycle)
 
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Fast-forward horizon: earliest cycle any head flit is ready.
-
-        ``None`` when empty.  A ready head that is flow-control blocked
-        still pins the horizon to "now" — credits can free on any cycle
-        a neighbour forwards, so the router must keep ticking.
-        """
-        if self._buffered == 0:
-            return None
-        earliest = None
-        for port, vc in self._occupied:
-            ready = self.inputs[port][vc].flits[0][0]
-            if ready <= cycle:
-                return cycle
-            if earliest is None or ready < earliest:
-                earliest = ready
-        return earliest
-
     def _arbitrate_output(self, out_port: Port, cycle: int) -> None:
         candidates = self._candidates(out_port, cycle)
         if not candidates:

@@ -14,8 +14,7 @@ maintained write-through (the ``repro.cpu.vector`` pattern):
 * ``_router_ready[node]`` — a numpy column of each router's earliest
   head-flit readiness (:data:`~repro.net.kernels.NEVER` when empty).
   Each cycle the engine ticks only ``router_ready <= cycle`` routers
-  (:func:`~repro.net.kernels.due_indices`), and the fast-forward
-  horizon is a bulk column min instead of a per-router scan.
+  (:func:`~repro.net.kernels.due_indices`).
 * per-router requester sets — the non-empty input VCs grouped by their
   owner's route port, so arbitration walks exactly the VCs requesting
   each output instead of re-scanning and re-sorting every occupied VC.
@@ -42,9 +41,9 @@ and property tests consume are *derived* on demand (:meth:`columns`).
 
 The scheduling index is hybrid: a plain python list mirrors the numpy
 column write-through, and below :data:`_SCAN_THRESHOLD` routers the due
-scan and horizon min sweep the list instead (small-array numpy calls
-carry microseconds of fixed dispatch overhead; the bulk kernels take
-over where they win — see docs/performance.md).
+scan sweeps the list instead (small-array numpy calls carry
+microseconds of fixed dispatch overhead; the bulk kernels take over
+where they win — see docs/performance.md).
 
 Selected by ``CmpConfig.vectorized`` (default) and disabled together
 with the core engine by ``REPRO_NO_VECTOR=1``; equivalence is pinned by
@@ -215,12 +214,6 @@ class VectorRouter(Router):
                 arbiter[out_port] = best_index + 1
                 self._forward(out_port, best_key, best_buffer, best_flit, cycle)
 
-    def next_event(self, cycle: int) -> int | None:
-        if self._buffered == 0:
-            return None
-        ready_min = self._ready_min
-        return cycle if ready_min <= cycle else ready_min
-
     def _forward(
         self,
         out_port: Port,
@@ -368,40 +361,6 @@ class VectorMeshNetwork(MeshNetwork):
         else:
             for node in due_indices(self._router_ready, cycle).tolist():
                 routers[node].tick(cycle)
-
-    def next_event(self, cycle: int) -> int | None:
-        # Same horizon as the reference scan, restricted to nodes with
-        # injection work: an injection pins "now" only when it can
-        # actually progress this cycle.
-        states = self._inject_state
-        routers = self.routers
-        num_vcs = self.config.num_vcs
-        for node in self._active_inject:
-            state = states[node]
-            local = routers[node].inputs[_LOCAL]
-            if state is not None:
-                buf = local[state[1]]
-                if buf.capacity > len(buf.flits):
-                    return cycle
-            else:
-                for vc in range(num_vcs):
-                    buf = local[vc]
-                    if buf.owner is None and buf.capacity > len(buf.flits):
-                        return cycle
-        horizon = min(self._deliveries) if self._deliveries else None
-        if horizon is not None and horizon <= cycle:
-            return cycle
-        if self._small:
-            router_min = min(self._router_ready_py)
-        else:
-            router_min = int(self._router_ready.min())
-        if router_min <= cycle:
-            # A ready head pins "now" even when flow-control blocked —
-            # a neighbour's forward can free its credit on any cycle.
-            return cycle
-        if router_min < NEVER and (horizon is None or router_min < horizon):
-            horizon = router_min
-        return horizon
 
     # -- derived columns & invariants ------------------------------------
 

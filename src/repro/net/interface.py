@@ -124,28 +124,6 @@ class Interconnect(abc.ABC):
     def tick(self, cycle: int) -> None:
         """Advance the network by one processor cycle."""
 
-    # -- fast-forward horizon (see docs/performance.md) ---------------------
-
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle at which this network can change state.
-
-        ``cycle`` ("now") means the network must be ticked every cycle;
-        ``None`` means it is fully idle and imposes no horizon.  The
-        default pins the horizon to "now", which disables fast-forward
-        over this network but is always correct; models override it
-        with a real horizon.
-        """
-        return cycle
-
-    def skip(self, start: int, end: int) -> None:
-        """Account for the tick-free jump over ``[start, end)``.
-
-        Called instead of ``tick`` for every cycle in the range when the
-        fast-forward engine proved nothing can happen.  Models with
-        per-cycle counters (e.g. FSOI slot tallies) override this; the
-        default has nothing to account.
-        """
-
     def can_accept(self, node: int, lane: LaneKind) -> bool:
         """Whether a send from ``node`` on ``lane`` would currently succeed.
 

@@ -1,11 +1,11 @@
 """Shared columnar kernels for the vectorized network engines.
 
 The mesh and FSOI vector engines (``repro.mesh.vector``,
-``repro.core.vector``) keep per-entity readiness horizons in numpy
-arrays and derive their per-cycle worklists and fast-forward horizons
-from bulk operations over them.  The operations live here as pure
-functions so the property suite (``tests/net/test_network_kernels.py``)
-can check each one against a scalar re-derivation in isolation — a
+``repro.core.vector``) keep per-entity readiness in numpy arrays and
+derive their per-cycle worklists from bulk operations over them.  The
+operations live here as pure functions so the property suite
+(``tests/net/test_network_kernels.py``) can check each one against a
+scalar re-derivation in isolation — a
 regression points at the broken primitive instead of a diverged
 end-to-end run, mirroring ``repro.cpu.vector``'s kernel split.
 
@@ -24,7 +24,6 @@ __all__ = [
     "due_indices",
     "earliest",
     "rr_pick",
-    "slot_horizon",
     "xy_route_codes",
 ]
 
@@ -49,21 +48,6 @@ def earliest(ready: np.ndarray) -> int:
     if ready.size == 0:
         return NEVER
     return int(ready.min())
-
-
-def slot_horizon(earliest_ready: int, cycle: int, slot_len: int) -> int | None:
-    """First slot boundary at which a pending transmission can start.
-
-    Slotted ALOHA quantizes transmission starts: a packet eligible at
-    ``earliest_ready`` (clamped to ``cycle`` — an overdue packet starts
-    at the *next* boundary, not a past one) goes out at the first
-    multiple of ``slot_len`` at or after that.  ``None`` when nothing is
-    pending (``earliest_ready`` at or past :data:`NEVER`).
-    """
-    if earliest_ready >= NEVER:
-        return None
-    eligible = earliest_ready if earliest_ready > cycle else cycle
-    return ((eligible + slot_len - 1) // slot_len) * slot_len
 
 
 def allocatable_vc_mask(

@@ -329,11 +329,10 @@ def detect_counter_leak(system: Any) -> list[HealthEvent]:
     """O(1) counter vs structure cross-checks (lane-counter leaks).
 
     FSOI mirrors each lane's queued + backed-off packet count in
-    ``_lane_pending`` so ``quiescent()`` and the fast-forward horizon
-    are O(1); the mirror must always equal the recounted queue and
-    retransmission-list sizes.  Any negative stat counter anywhere in
-    the metrics tree is likewise a leak (a decrement without its
-    increment).
+    ``_lane_pending`` so ``quiescent()`` is O(1); the mirror must
+    always equal the recounted queue and retransmission-list sizes.
+    Any negative stat counter anywhere in the metrics tree is likewise
+    a leak (a decrement without its increment).
     """
     events: list[HealthEvent] = []
     cycle = int(system.cycle)

@@ -37,7 +37,6 @@ class PhaseProfiler:
         self._started = 0.0
         self._wall = 0.0
         self.cycles = 0
-        self.skipped = 0
 
     # -- accumulation --------------------------------------------------
 
@@ -45,22 +44,12 @@ class PhaseProfiler:
         self._seconds[phase] = self._seconds.get(phase, 0.0) + seconds
 
     def cycle_done(self) -> None:
-        """Count one completed (executed) cycle."""
+        """Count one completed cycle."""
         self.cycles += 1
-
-    def skip(self, cycles: int) -> None:
-        """Count ``cycles`` fast-forwarded past without executing."""
-        self.skipped += cycles
-
-    @property
-    def total_cycles(self) -> int:
-        """Simulated cycles: executed plus fast-forwarded."""
-        return self.cycles + self.skipped
 
     def reset(self) -> None:
         self._seconds.clear()
         self.cycles = 0
-        self.skipped = 0
         self._wall = 0.0
         self._started = time.perf_counter()
 
@@ -110,18 +99,13 @@ class PhaseProfiler:
             lines.append(
                 f"{phase:<14} {row['seconds']:>9.3f} {100 * row['share']:>6.1f}%"
             )
-        total = self.total_cycles
+        total = self.cycles
         lines.append(
             f"{'attributed':<14} {self.attributed_seconds:>9.3f} "
             f"{'':>6} (wall {self.wall_seconds:.3f}s"
             + (
                 f", {total / self.wall_seconds:,.0f} cycles/s"
                 if total and self.wall_seconds > 0
-                else ""
-            )
-            + (
-                f", {100 * self.skipped / total:.1f}% fast-forwarded"
-                if self.skipped
                 else ""
             )
             + ")"

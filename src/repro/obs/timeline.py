@@ -21,12 +21,8 @@ The design follows the other two ``repro.obs`` facilities exactly:
   (``vectorized=True/False``) reach with identical counter values;
   the exported JSONL is therefore byte-identical across engines and
   across repeated runs of the same seed
-  (``tests/obs/test_timeline.py``).
-* **Fast-forward aware.**  ``CmpSystem._next_event`` caps its jump
-  horizon at the collector's next due boundary, so window samples are
-  taken at the same cycles whether or not the loop fast-forwards.
-  Only the ``loop`` executed/skipped bookkeeping differs — as
-  documented in :class:`repro.cmp.results.CmpResults`.
+  (``tests/obs/test_timeline.py``).  The cycle loop ticks every
+  cycle, so every window boundary is reached by a tick.
 
 Exports: JSONL (one meta line + one line per window, canonical
 sorted-key JSON), chrome://tracing counter events (``ph: "C"``) that
@@ -284,18 +280,6 @@ class TimelineCollector:
             self._sample(cycle)
             while self._next_due <= cycle:
                 self._next_due += self.window
-
-    def due_cycle(self, system: Any) -> Optional[int]:
-        """Next boundary for ``system`` — the fast-forward horizon cap.
-
-        ``None`` when the collector is bound to a different system (its
-        jumps are then unconstrained, as if the timeline were off).
-        """
-        if self._system is None:
-            self._bind(system)
-        elif system is not self._system:
-            return None
-        return self._next_due
 
     def on_run_end(self, system: Any) -> None:
         """Record the final (possibly partial) window at run end.

@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 #: Fields every exported trace event must carry (trace-event format).
-#: Note the simulation loop's fast-forward engine stays enabled under
-#: tracing: a jump over idle cycles is recorded as one ``fast_forward``
-#: span (cat "loop", ph "X", dur = cycles skipped) rather than being
-#: inhibited, so traced runs remain cycle-identical to untraced ones.
 REQUIRED_KEYS = ("name", "cat", "ph", "ts", "pid", "tid")
 
 #: Phases the exporters produce: instant events, complete spans, and

@@ -75,8 +75,7 @@ def execute_point(
     collector (:func:`repro.obs.timeline.timelining`, sampling every
     ``timeline_window`` cycles) and the per-window delta archive lands
     there as ``<label>_<hash>.timeline.jsonl``.  Timeline collection is
-    non-perturbing — the result is bit-identical to an untimelined run
-    apart from the ``loop`` executed/skipped bookkeeping split.
+    non-perturbing — the result is bit-identical to an untimelined run.
     """
     from repro.cmp.system import CmpSystem
 
@@ -242,37 +241,6 @@ class SweepReport:
     def executed(self) -> int:
         """Points that actually ran the simulator (cache misses)."""
         return sum(1 for o in self.outcomes if o.ok and not o.cached)
-
-    # -- fast-forward accounting (docs/performance.md) -------------------
-
-    @property
-    def executed_cycles(self) -> int:
-        """Cycles the successful points actually ticked through."""
-        return sum(
-            o.result.get("loop", {}).get("executed_cycles", 0)
-            for o in self.outcomes
-            if o.ok and o.result is not None
-        )
-
-    @property
-    def skipped_cycles(self) -> int:
-        """Cycles the successful points fast-forwarded past."""
-        return sum(
-            o.result.get("loop", {}).get("skipped_cycles", 0)
-            for o in self.outcomes
-            if o.ok and o.result is not None
-        )
-
-    @property
-    def skip_ratio(self) -> float:
-        """Fraction of simulated cycles covered by fast-forward jumps.
-
-        Zero both when nothing skipped and when the loop counters are
-        absent (results produced before they existed, e.g. replayed
-        from an old cache).
-        """
-        total = self.executed_cycles + self.skipped_cycles
-        return self.skipped_cycles / total if total else 0.0
 
     # -- result access ---------------------------------------------------
 

@@ -29,12 +29,10 @@ class CycleCalendar:
     """A heap-backed ``(cycle, action)`` calendar for the tick loops.
 
     The simulator's hot loops used to keep ``dict[int, list]`` calendars
-    popped at every cycle; the dict made "earliest pending cycle" an O(n)
-    scan, which the fast-forward engine needs at every step.  This class
-    is the lean replacement: a binary heap of ``(cycle, seq, action)``
-    tuples, where the monotone ``seq`` preserves insertion order within
-    a cycle — actions due at the same cycle run exactly as the dict ran
-    them.  Unlike :class:`EventQueue` there are no cancellable handles
+    popped at every cycle.  This class is the lean replacement: a binary
+    heap of ``(cycle, seq, action)`` tuples, where the monotone ``seq``
+    preserves insertion order within a cycle — actions due at the same
+    cycle run exactly as the dict ran them.  Unlike :class:`EventQueue` there are no cancellable handles
     and no per-event objects; the entries are bare tuples.
     """
 
@@ -58,10 +56,6 @@ class CycleCalendar:
         """File ``action`` to run at ``cycle``."""
         self._seq += 1
         heapq.heappush(self._heap, (cycle, self._seq, action))
-
-    def next_cycle(self) -> int | None:
-        """Earliest pending cycle, or ``None`` when empty — O(1)."""
-        return self._heap[0][0] if self._heap else None
 
     def run_due(self, cycle: int) -> None:
         """Run every action due at or before ``cycle``, in (cycle, seq)

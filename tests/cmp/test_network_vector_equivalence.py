@@ -52,19 +52,14 @@ class TestEquivalence:
         # Only fsoi and mesh grow vector engines; the other kinds must
         # stay untouched by the flag (the vectorized cores still feed
         # them the same packets on the same cycles).
-        compare_engines(
-            "vectorized", app="mp", network=network, num_nodes=16, seed=2
-        )
+        compare_engines(app="mp", network=network, num_nodes=16, seed=2)
 
     @pytest.mark.parametrize("seed", (0, 7))
     def test_mesh_seeds(self, compare_engines, seed):
-        compare_engines(
-            "vectorized", app="em", network="mesh", num_nodes=16, seed=seed
-        )
+        compare_engines(app="em", network="mesh", num_nodes=16, seed=seed)
 
     def test_mesh_64_nodes(self, compare_engines):
         compare_engines(
-            "vectorized",
             app="ba", network="mesh", num_nodes=64, seed=2, cycles=900,
         )
 
@@ -72,7 +67,6 @@ class TestEquivalence:
         # Narrower links stretch packets into more flits — deeper VC
         # occupancy, more credit stalls, more arbitration conflicts.
         compare_engines(
-            "vectorized",
             app="oc", network="mesh", num_nodes=16, seed=6,
             mesh_bandwidth_scale=0.5,
         )
@@ -81,7 +75,6 @@ class TestEquivalence:
         # 64 nodes turns on the optical phase array, putting the
         # per-send ``opa.steer`` charge inside the columnar gather.
         compare_engines(
-            "vectorized",
             app="ws", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
@@ -90,7 +83,6 @@ class TestEquivalence:
         # packets in place — a readiness *change* without an enqueue or
         # dequeue, the subtlest write-through path.
         compare_engines(
-            "vectorized",
             app="oc", network="fsoi", num_nodes=16, seed=5,
             optimizations=OptimizationConfig.all(),
         )
@@ -99,14 +91,12 @@ class TestEquivalence:
         # Signaling errors corrupt lone transmissions, so the
         # single-send fast path must still draw the same RNG verdicts.
         compare_engines(
-            "vectorized",
             app="ba", network="fsoi", num_nodes=16, seed=8,
             fsoi_packet_error_rate=0.05,
         )
 
     def test_faults_on(self, compare_engines):
         compare_engines(
-            "vectorized",
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
@@ -115,7 +105,7 @@ class TestEquivalence:
     def test_faults_fall_back_to_reference_gather(self):
         # Fault plans keep the reference per-node slot gather (lane
         # sparing probes are stateful side effects of being queried),
-        # but the readiness columns stay maintained for the horizon.
+        # but the readiness columns stay maintained and audited.
         system = CmpSystem(CmpConfig(
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
@@ -125,23 +115,6 @@ class TestEquivalence:
         assert not network._columnar_slots
         system.run(1200)
         network.audit()
-
-    @pytest.mark.parametrize("network", ("fsoi", "mesh"))
-    @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_composes_with_fast_forward(
-        self, compare_engines, network, fast_forward
-    ):
-        # The vector engines feed the fast-forward loop their own
-        # next_event() horizons; skips and worklist ticks must stack.
-        loop = compare_engines(
-            "vectorized",
-            app="oc", network=network, num_nodes=16, seed=1,
-            fast_forward=fast_forward,
-        )
-        if fast_forward:
-            assert loop["skipped_cycles"] > 0
-        else:
-            assert loop == {"executed_cycles": 1200, "skipped_cycles": 0}
 
     @settings(
         max_examples=8,
@@ -153,15 +126,13 @@ class TestEquivalence:
         network=st.sampled_from(["fsoi", "mesh"]),
         seed=st.integers(min_value=0, max_value=50),
         cycles=st.integers(min_value=50, max_value=800),
-        fast_forward=st.booleans(),
     )
     def test_property_equivalence(
-        self, app, network, seed, cycles, fast_forward
+        self, app, network, seed, cycles
     ):
         compare_engine_pair(
-            "vectorized",
             app=app, network=network, num_nodes=16, seed=seed,
-            cycles=cycles, fast_forward=fast_forward,
+            cycles=cycles,
         )
 
     @requires_vector_default

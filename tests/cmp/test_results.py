@@ -58,3 +58,14 @@ class TestPersistence:
 
         text = json.dumps(result.to_dict())
         assert "latency_breakdown" in text
+
+    def test_archived_loop_block_still_loads(self, result):
+        # Sweep JSONL lines and ledger rows written before the loop
+        # ticked every cycle carry a host-side "loop" block of cycle
+        # counts; from_dict ignores it whatever it holds.
+        plain = result.to_dict()
+        assert "loop" not in plain
+        archived = dict(plain, loop={"ticked": 2490, "jumped": 10})
+        loaded = CmpResults.from_dict(archived)
+        assert loaded.to_dict() == CmpResults.from_dict(plain).to_dict()
+        assert loaded.to_dict() == plain

@@ -133,3 +133,36 @@ class TestConfirmationAckWiring:
         sub = run_app("ray", "fsoi", cycles=6000, optimizations=opts, seed=2)
         assert sub.fsoi["signals"] > 0
         assert sub.ipc > 0.8 * base.ipc
+
+
+class TestCalendarClamps:
+    """The old dict calendar silently stranded past-cycle entries
+    (``_calendar.pop(cycle, ())`` never revisited a drained key).  The
+    two schedulers now make that impossible: ``CmpSystem._at`` clamps a
+    past/present cycle to "run now", and the FSOI network refuses it
+    loudly.
+    """
+
+    def test_system_at_runs_past_cycles_immediately(self):
+        system = CmpSystem(CmpConfig(app="oc", network="l0", num_nodes=16, seed=0))
+        system.run(100)
+        fired = []
+        system._at(50, lambda: fired.append("past"))
+        system._at(system.cycle, lambda: fired.append("present"))
+        assert fired == ["past", "present"]
+        system._at(system.cycle + 5, lambda: fired.append("future"))
+        assert fired == ["past", "present"]  # future entries wait
+        system.run(10)
+        assert fired == ["past", "present", "future"]
+
+    def test_fsoi_schedule_rejects_past_cycles(self):
+        from repro.core.network import FsoiConfig, FsoiNetwork
+
+        net = FsoiNetwork(FsoiConfig(num_nodes=16, seed=0))
+        for cycle in range(6):
+            net.tick(cycle)
+        with pytest.raises(ValueError, match="already ticked cycle 5"):
+            net._schedule(5, lambda: None)
+        with pytest.raises(ValueError, match="cannot schedule"):
+            net._schedule(0, lambda: None)
+        net._schedule(6, lambda: None)  # the future is still fine

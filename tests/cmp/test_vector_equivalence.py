@@ -4,15 +4,13 @@
 columnar ledgers, event-scheduled actives and a replayed RNG.  The
 claim is *bit-exactness*: a vectorized run and a naive object-per-node
 run of the same configuration produce byte-identical ``CmpResults``
-(including the ``loop`` field — the engine must not change what the
-simulation loop does) and identical metrics-registry snapshots.  These
-tests pin that down across networks, seeds, system sizes, fault plans
-and both fast-forward settings, plus the escape hatches
-(``CmpConfig.vectorized`` and ``REPRO_NO_VECTOR``), and guard the
-scaling claim with a 256/512/1024-node study.
+and identical metrics-registry snapshots.  These tests pin that down
+across networks, seeds, system sizes and fault plans, plus the escape
+hatches (``CmpConfig.vectorized`` and ``REPRO_NO_VECTOR``), and guard
+the scaling claim with a 256/512/1024-node study.
 
-The run-both-and-diff machinery is shared with the fast-forward suite
-(``test_fastforward.py``) via ``tests/conftest.py``.
+The run-both-and-diff machinery is shared with the network and
+coherence engine suites via ``tests/conftest.py``.
 """
 
 import os
@@ -30,25 +28,19 @@ class TestEquivalence:
         "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
     )
     def test_all_networks(self, compare_engines, network):
-        compare_engines(
-            "vectorized", app="oc", network=network, num_nodes=16, seed=1
-        )
+        compare_engines(app="oc", network=network, num_nodes=16, seed=1)
 
     @pytest.mark.parametrize("seed", (0, 7))
     def test_seeds(self, compare_engines, seed):
-        compare_engines(
-            "vectorized", app="ba", network="fsoi", num_nodes=16, seed=seed
-        )
+        compare_engines(app="ba", network="fsoi", num_nodes=16, seed=seed)
 
     def test_64_nodes(self, compare_engines):
         compare_engines(
-            "vectorized",
             app="em", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
     def test_faults_on(self, compare_engines):
         compare_engines(
-            "vectorized",
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
@@ -58,23 +50,7 @@ class TestEquivalence:
         # Radiosity is lock-heavy, TSP holds long critical sections and
         # FFT's butterfly pattern exercises the stage counter — the
         # sync-state scheduling paths the columnar engine special-cases.
-        compare_engines(
-            "vectorized", app=app, network="mesh", num_nodes=16, seed=5
-        )
-
-    @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_composes_with_fast_forward(self, compare_engines, fast_forward):
-        # The columnar engine feeds the fast-forward horizon through
-        # next_core_event(); skips and vectorized ticks must stack.
-        loop = compare_engines(
-            "vectorized",
-            app="oc", network="l0", num_nodes=16, seed=1,
-            fast_forward=fast_forward,
-        )
-        if fast_forward:
-            assert loop["skipped_cycles"] > 0
-        else:
-            assert loop == {"executed_cycles": 1200, "skipped_cycles": 0}
+        compare_engines(app=app, network="mesh", num_nodes=16, seed=5)
 
     @settings(
         max_examples=8,
@@ -86,15 +62,13 @@ class TestEquivalence:
         network=st.sampled_from(["fsoi", "mesh", "lr2"]),
         seed=st.integers(min_value=0, max_value=50),
         cycles=st.integers(min_value=50, max_value=800),
-        fast_forward=st.booleans(),
     )
     def test_property_equivalence(
-        self, app, network, seed, cycles, fast_forward
+        self, app, network, seed, cycles
     ):
         compare_engine_pair(
-            "vectorized",
             app=app, network=network, num_nodes=16, seed=seed,
-            cycles=cycles, fast_forward=fast_forward,
+            cycles=cycles,
         )
 
     def test_run_until_instructions_stops_at_same_cycle(self):

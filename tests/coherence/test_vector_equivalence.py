@@ -32,19 +32,14 @@ class TestEquivalence:
         "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
     )
     def test_all_networks(self, compare_engines, network):
-        compare_engines(
-            "vectorized", app="oc", network=network, num_nodes=16, seed=1
-        )
+        compare_engines(app="oc", network=network, num_nodes=16, seed=1)
 
     @pytest.mark.parametrize("seed", (0, 7))
     def test_seeds(self, compare_engines, seed):
-        compare_engines(
-            "vectorized", app="ba", network="fsoi", num_nodes=16, seed=seed
-        )
+        compare_engines(app="ba", network="fsoi", num_nodes=16, seed=seed)
 
     def test_64_nodes(self, compare_engines):
         compare_engines(
-            "vectorized",
             app="em", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
@@ -54,7 +49,6 @@ class TestEquivalence:
         # meta lane, and request spacing delays eligible requests — the
         # protocol variants the fused kernels special-case.
         compare_engines(
-            "vectorized",
             app="oc", network="fsoi", num_nodes=16, seed=5,
             optimizations=OptimizationConfig.all(),
         )
@@ -64,7 +58,6 @@ class TestEquivalence:
         # must then drain through the per-message reference dispatch and
         # still match the naive run byte for byte.
         compare_engines(
-            "vectorized",
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
@@ -73,7 +66,6 @@ class TestEquivalence:
         # Bounded L2 slices turn capacity pressure into Repl recalls —
         # a path the kernels do not fuse, so the engine must fall back.
         compare_engines(
-            "vectorized",
             app="oc", network="mesh", num_nodes=16, seed=3,
             directory=DirectoryConfig(capacity_lines=64),
         )
@@ -83,23 +75,7 @@ class TestEquivalence:
         # Lock-heavy, long-critical-section and butterfly sharing
         # patterns stress REQ_UPG reinterpretation, transient queueing
         # and the invalidation fan-out the kernels fuse.
-        compare_engines(
-            "vectorized", app=app, network="mesh", num_nodes=16, seed=5
-        )
-
-    @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_composes_with_fast_forward(self, compare_engines, fast_forward):
-        # The engine pins the horizon to "now" whenever its mailbox is
-        # non-empty (next_event); skips and batched drains must stack.
-        loop = compare_engines(
-            "vectorized",
-            app="oc", network="l0", num_nodes=16, seed=1,
-            fast_forward=fast_forward,
-        )
-        if fast_forward:
-            assert loop["skipped_cycles"] > 0
-        else:
-            assert loop == {"executed_cycles": 1200, "skipped_cycles": 0}
+        compare_engines(app=app, network="mesh", num_nodes=16, seed=5)
 
     @settings(
         max_examples=8,
@@ -121,7 +97,6 @@ class TestEquivalence:
             confirmation_ack=confirmation_ack and network == "fsoi"
         )
         compare_engine_pair(
-            "vectorized",
             app=app, network=network, num_nodes=16, seed=seed,
             cycles=cycles, optimizations=opts,
         )

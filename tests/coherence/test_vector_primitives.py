@@ -6,8 +6,8 @@ driven one message at a time against the scalar reference handlers on
 identically planted protocol state, the fast constructors
 (``make_message`` / ``make_packet``) are compared field-for-field with
 the dataclass originals, the precomputed ``pkt_*`` classification flags
-are re-derived from first principles, and the mailbox/next_event/audit
-machinery is exercised directly.
+are re-derived from first principles, and the mailbox/audit machinery
+is exercised directly.
 """
 
 import random
@@ -262,7 +262,7 @@ class TestFastConstructors:
 
 
 # ---------------------------------------------------------------------------
-# mailbox, horizon, trace interaction
+# mailbox, trace interaction
 # ---------------------------------------------------------------------------
 
 
@@ -289,10 +289,8 @@ class TestMailbox:
         engine.on_packet(self._request_packet(vec, 5, 1, 17))
         engine.on_packet(self._request_packet(vec, 6, 2, 18))
         assert len(engine._mailbox) == 2
-        assert engine.next_event(0) == 0      # queued work pins "now"
         engine.drain()
         assert engine._mailbox == []
-        assert engine.next_event(0) is None   # empty mailbox: no horizon
         assert order == [(5, 17), (6, 18)]
         engine._kernels[value] = original[value]
 

@@ -1,11 +1,9 @@
 """Shared pytest configuration and engine-equivalence helpers.
 
-Two engine toggles in :class:`~repro.cmp.CmpConfig` claim to be
-invisible in every measured quantity: ``fast_forward`` (the next-event
-loop) and ``vectorized`` (the columnar core engine).  Both equivalence
-suites — ``tests/cmp/test_fastforward.py`` and
-``tests/cmp/test_vector_equivalence.py`` — share the run-both-and-diff
-machinery here instead of duplicating it.
+The ``vectorized`` toggle of :class:`~repro.cmp.CmpConfig` claims to be
+invisible in every measured quantity.  The equivalence suites for the
+columnar core, network and coherence engines share the
+run-both-and-diff machinery here instead of duplicating it.
 """
 
 import json
@@ -16,7 +14,7 @@ from repro.cmp import CmpConfig, CmpSystem
 from repro.faults import ConfirmationDrop, FaultPlan, LaneFault
 from repro.sweep import canonical_json
 
-#: One representative fault plan exercised by both equivalence suites:
+#: One representative fault plan exercised by the equivalence suites:
 #: a lane outage window plus stochastic confirmation drops, so the
 #: retry/backoff and fault-clock paths are covered.
 EQUIVALENCE_FAULT_PLAN = FaultPlan(
@@ -35,59 +33,35 @@ def run_engine(cycles: int = 1200, **config_kwargs):
     return result, metrics
 
 
-def run_engine_pair(flag: str, cycles: int = 1200, **config_kwargs):
-    """Run a config twice with engine toggle ``flag`` on and off.
+def run_engine_pair(cycles: int = 1200, **config_kwargs):
+    """Run a config twice, columnar engines on and off.
 
-    ``flag`` is a :class:`CmpConfig` boolean field name
-    (``"fast_forward"`` or ``"vectorized"``).  Returns the
-    ``[(result, metrics), ...]`` pairs in (enabled, disabled) order.
+    Returns the ``[(result, metrics), ...]`` pairs in (vectorized,
+    reference) order.
     """
     return [
-        run_engine(cycles=cycles, **{flag: enabled}, **config_kwargs)
+        run_engine(cycles=cycles, vectorized=enabled, **config_kwargs)
         for enabled in (True, False)
     ]
 
 
 def assert_engines_equivalent(candidate, reference):
-    """Byte-identical results (minus loop accounting) and metrics.
+    """Byte-identical results and metrics.
 
     ``candidate``/``reference`` are ``(result, metrics)`` pairs from
-    :func:`run_engine`.  The ``loop`` field is excluded from the diff —
-    it exists to *describe* the loop difference — and both loops are
-    returned for the caller's engine-specific window checks.
+    :func:`run_engine`; the full ``to_dict()`` is compared.
     """
     cand_result, cand_metrics = candidate
     ref_result, ref_metrics = reference
-    cand_dict = cand_result.to_dict()
-    ref_dict = ref_result.to_dict()
-    cand_loop = cand_dict.pop("loop")
-    ref_loop = ref_dict.pop("loop")
-    assert canonical_json(cand_dict) == canonical_json(ref_dict)
+    assert canonical_json(cand_result.to_dict()) == canonical_json(
+        ref_result.to_dict()
+    )
     assert cand_metrics == ref_metrics
-    return cand_loop, ref_loop
 
 
-def compare_engine_pair(flag: str, cycles: int = 1200, **config_kwargs):
-    """Run a pair, diff it, and check the flag's loop contract.
-
-    Runs ``flag`` on vs off for one configuration, asserts full
-    equivalence, applies the flag's loop-accounting contract and hands
-    back the enabled run's loop dict:
-
-    * ``fast_forward`` — the naive loop skips nothing, and the fast
-      loop's executed + skipped covers the same window.
-    * ``vectorized`` — the columnar engine must not change what the
-      simulation loop *does* at all, so the loops are identical.
-    """
-    candidate, reference = run_engine_pair(flag, cycles=cycles, **config_kwargs)
-    cand_loop, ref_loop = assert_engines_equivalent(candidate, reference)
-    if flag == "fast_forward":
-        assert ref_loop["skipped_cycles"] == 0
-        total = cand_loop["executed_cycles"] + cand_loop["skipped_cycles"]
-        assert total == ref_loop["executed_cycles"]
-    else:
-        assert cand_loop == ref_loop
-    return cand_loop
+def compare_engine_pair(cycles: int = 1200, **config_kwargs):
+    """Run one configuration vectorized and reference, and diff them."""
+    assert_engines_equivalent(*run_engine_pair(cycles=cycles, **config_kwargs))
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from repro.net.kernels import (
     due_indices,
     earliest,
     rr_pick,
-    slot_horizon,
     xy_route_codes,
 )
 
@@ -64,33 +63,6 @@ class TestEarliest:
 
     def test_empty_is_never(self):
         assert earliest(np.asarray([], dtype=np.int64)) == NEVER
-
-
-class TestSlotHorizon:
-    @settings(deadline=None)
-    @given(
-        earliest_ready=ready_values,
-        cycle=st.integers(min_value=0, max_value=1_000_000),
-        slot_len=st.integers(min_value=1, max_value=64),
-    )
-    def test_matches_scalar_rederivation(self, earliest_ready, cycle, slot_len):
-        horizon = slot_horizon(earliest_ready, cycle, slot_len)
-        if earliest_ready >= NEVER:
-            assert horizon is None
-            return
-        # First multiple of slot_len at or after the eligible cycle
-        # (an overdue packet starts at the next boundary from "now").
-        eligible = max(earliest_ready, cycle)
-        assert horizon % slot_len == 0
-        assert horizon >= eligible
-        assert horizon - slot_len < eligible
-
-    def test_no_overflow_near_sentinel(self):
-        # Boundary arithmetic on values just below NEVER must stay
-        # inside int64 (the sentinel is 1 << 62 precisely for this).
-        horizon = slot_horizon(NEVER - 1, 0, 64)
-        assert horizon is not None
-        assert horizon % 64 == 0
 
 
 class TestAllocatableVcMask:

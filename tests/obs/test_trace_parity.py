@@ -47,22 +47,6 @@ class TestVectorizedParity:
         assert any(e.name == "deliver" for e in events)
 
 
-class TestFastForwardParity:
-    """fast_forward only adds its own ``cat="loop"`` skip markers."""
-
-    @pytest.mark.parametrize("network", NETWORKS)
-    def test_identical_modulo_loop_events(self, network):
-        fast = traced_events(network, fast_forward=True)
-        naive = traced_events(network, fast_forward=False)
-        assert [e for e in fast if e.cat != "loop"] == [
-            e for e in naive if e.cat != "loop"
-        ]
-
-    def test_naive_loop_never_fast_forwards(self):
-        naive = traced_events("fsoi", fast_forward=False)
-        assert not any(e.name == "fast_forward" for e in naive)
-
-
 class TestPacketIdDeterminism:
     """Packet uids are per-system, not process-history dependent."""
 

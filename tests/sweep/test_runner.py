@@ -311,26 +311,6 @@ class TestReport:
         assert summary.count == 4  # 2 apps x 2 seeds
         assert summary.mean > 1.0  # FSOI beats the mesh
 
-    def test_fast_forward_accounting(self):
-        report = run_sweep(_spec(), workers=1)
-        total = report.executed_cycles + report.skipped_cycles
-        assert total == 4 * 300  # every point covers its full window
-        assert 0.0 <= report.skip_ratio <= 1.0
-
-    def test_skip_ratio_zero_for_pre_loop_results(self):
-        # Cached results written before the loop counters existed have
-        # no "loop" field; the report reads them as zero, not a crash.
-        from repro.sweep.runner import PointOutcome, SweepReport
-
-        point = make_point("ba", "fsoi", cycles=300)
-        report = SweepReport(outcomes=[
-            PointOutcome(point=point, status="ok", key="k", result={}),
-            PointOutcome(point=point, status="failed", key="k2"),
-        ])
-        assert report.executed_cycles == 0
-        assert report.skipped_cycles == 0
-        assert report.skip_ratio == 0.0
-
 
 class TestCli:
     ARGS = ["sweep", "--apps", "ba,lu", "--networks", "fsoi,mesh",

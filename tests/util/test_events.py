@@ -76,15 +76,6 @@ class TestCycleCalendar:
         cal.run_due(2)
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_next_cycle(self):
-        cal = CycleCalendar()
-        assert cal.next_cycle() is None
-        cal.schedule(9, lambda: None)
-        cal.schedule(4, lambda: None)
-        assert cal.next_cycle() == 4
-        cal.run_due(4)
-        assert cal.next_cycle() == 9
-
     def test_no_stale_past_keys(self):
         # The dict-of-lists predecessor left entries scheduled for a
         # cycle that had already been drained unreachable forever; the
@@ -101,7 +92,8 @@ class TestCycleCalendar:
         fired = []
         cal.schedule(1, lambda: cal.schedule(5, lambda: fired.append(5)))
         cal.run_due(1)
-        assert cal.next_cycle() == 5
+        cal.run_due(4)
+        assert fired == [] and len(cal) == 1
         cal.run_due(5)
         assert fired == [5]
 
