@@ -2,7 +2,7 @@
 
 PYTEST ?= python -m pytest
 
-.PHONY: install test test-fast bench pytest-bench figures examples clean
+.PHONY: install test test-fast bench perfbench pytest-bench figures examples clean
 
 install:
 	pip install -e .
@@ -17,6 +17,16 @@ test-fast:
 # trajectory (exit 1 on a direction-aware regression).
 bench:
 	PYTHONPATH=src python -m repro.cli bench --compare --no-write
+
+# The repository benchmark: the three workloads of BENCHMARK.json,
+# untraced, at the pinned seed (exit 1 on a failed output check).
+PERFBENCH_WORKLOADS = fsoi64-mp3d mesh64-ws fig6-sweep16
+
+perfbench:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$workload --seed 0 --trace 0 \
+			|| exit 1; \
+	done
 
 # The paper's tables/figures via pytest-benchmark (the old `make bench`).
 pytest-bench:

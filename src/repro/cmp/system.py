@@ -51,7 +51,12 @@ from repro.obs.trace import TRACE
 from repro.util.events import CycleCalendar
 from repro.util.rng import RngHub
 from repro.util.stats import Histogram
-from repro.workloads.splash2 import AppSignature, AppWorkload, signature
+from repro.workloads.splash2 import (
+    AppSignature,
+    AppWorkload,
+    signature,
+    warm_lines,
+)
 
 __all__ = ["CmpConfig", "CmpSystem", "run_app", "NETWORK_KINDS"]
 
@@ -310,15 +315,8 @@ class CmpSystem:
         """
         from repro.coherence.directory import DirState
         from repro.coherence.l1 import L1State
-        from repro.cpu.sync import SyncManager as SM
 
-        lines: set[int] = set()
-        for core in self.cores:
-            lines.update(core.workload.reuse_lines())
-        lines.update(self.cores[0].workload.shared_lines())
-        lines.add(SM.barrier_line())
         app = self.config.app_signature
-        lines.update(SM.lock_line(i) for i in range(app.lock_count))
         hot: dict[int, int] = {}  # line -> owning node
         for node, core in enumerate(self.cores):
             workload = core.workload
@@ -327,6 +325,14 @@ class CmpSystem:
         if self.config.directory.capacity_lines is not None:
             # Bounded slices count live entries for capacity pressure,
             # so the warm set must be materialized eagerly.
+            from repro.cpu.sync import SyncManager as SM
+
+            lines: set[int] = set()
+            for core in self.cores:
+                lines.update(core.workload.reuse_lines())
+            lines.update(self.cores[0].workload.shared_lines())
+            lines.add(SM.barrier_line())
+            lines.update(SM.lock_line(i) for i in range(app.lock_count))
             for line in lines:
                 entry = self.directories[self.home_of(line)].entry(line)
                 owner = hot.get(line)
@@ -340,9 +346,9 @@ class CmpSystem:
                 l1._states[line] = L1State.E
             return
         # Unbounded slices (the calibrated default): only the L1-hot
-        # lines get real entries; the DV bulk stays a lazily-consumed
-        # warm set shared across slices (home-partitioned, so no two
-        # slices ever race on one line).
+        # lines get real entries; the DV bulk is one arithmetic warm
+        # set shared across slices (home-partitioned, so no two slices
+        # ever ask about one line) and materialized on first touch.
         for line, owner in hot.items():
             entry = self.directories[self.home_of(line)].entry(line)
             entry.state = DirState.DM
@@ -350,9 +356,9 @@ class CmpSystem:
             l1 = self.l1s[owner]
             l1.array.insert(line)
             l1._states[line] = L1State.E
-        lines.difference_update(hot)
+        warm = warm_lines(app, self.config.num_nodes)
         for directory in self.directories:
-            directory.preload_valid(lines)
+            directory.preload_valid(warm)
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -30,11 +30,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.coherence.messages import CoherenceMessage, MsgType
 from repro.obs.trace import TRACE
 from repro.util.stats import StatGroup
+
+if TYPE_CHECKING:
+    from repro.workloads.splash2 import WarmLines
 
 __all__ = ["DirState", "DirectoryController", "DirectoryConfig"]
 
@@ -124,11 +127,10 @@ class DirectoryController:
         self.config = config or DirectoryConfig()
         self._entries: dict[int, _Entry] = {}
         #: Warm-start lines resident-valid (DV) in this slice but not
-        #: yet materialized as entries; :meth:`entry` materializes (and
-        #: consumes) them on first touch.  May be shared between slices
-        #: — home interleaving guarantees no two slices are ever asked
-        #: about the same line.  See :meth:`preload_valid`.
-        self._warm: set[int] = set()
+        #: yet materialized as entries, or ``None``; :meth:`entry`
+        #: materializes (and consumes) them on first touch.  See
+        #: :meth:`preload_valid`.
+        self._warm: Optional[WarmLines] = None
         self._queued_total = 0
         self._lru_clock = 0
         #: Columnar-engine ledger hook (repro.coherence.vector): called
@@ -155,7 +157,7 @@ class DirectoryController:
         if ent is None:
             ent = _Entry()
             warm = self._warm
-            if warm and line in warm:
+            if warm is not None and line in warm:
                 # Consume the warm marker: once materialized the entry
                 # alone carries the state (an eviction back to DI must
                 # not resurrect as DV on the next touch).
@@ -168,19 +170,25 @@ class DirectoryController:
         ent = self._entries.get(line)
         if ent is not None:
             return ent.state
-        if self._warm and line in self._warm:
+        warm = self._warm
+        if warm is not None and line in warm:
             return DirState.DV
         return DirState.DI
 
-    def preload_valid(self, lines: set[int]) -> None:
+    def preload_valid(self, lines: WarmLines) -> None:
         """Warm-start ``lines`` as resident-valid (DV) in this slice.
 
         Entries are materialized lazily on first touch instead of up
         front — a 16-node warm start covers ~67k lines of which a short
         run touches a few hundred, so eager materialization dominates
-        construction cost.  ``lines`` may be a set shared with the
-        other slices (home interleaving partitions it); it is consumed
-        destructively as lines are touched.
+        construction cost.  A line stays DV until its first touch;
+        :meth:`entry` then calls ``lines.discard(line)``, so a line
+        evicted after it was materialized comes back DI, never DV.
+
+        ``lines`` is only asked about this slice's lines, so one
+        :class:`repro.workloads.splash2.WarmLines` may serve every
+        slice; it answers membership by region arithmetic and stores
+        only the consumed lines.
 
         Requires an unbounded slice: capacity accounting counts live
         entries, so a bounded slice must materialize its warm set

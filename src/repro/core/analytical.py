@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "collision_probability",
@@ -307,6 +306,8 @@ def optimal_meta_bandwidth(
     >>> 0.25 < optimal_meta_bandwidth() < 0.32
     True
     """
+    from scipy.optimize import minimize_scalar  # deferred: scipy is slow to import
+
     result = minimize_scalar(
         lambda b: bandwidth_latency(b, constants),
         bounds=(1e-3, 1 - 1e-3),

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfc, erfcinv
-
 __all__ = ["ReceiverNoise", "ber_from_q", "q_from_ber"]
 
 ELECTRON_CHARGE = 1.602_176_634e-19  # coulombs
@@ -35,6 +33,8 @@ def ber_from_q(q: float) -> float:
     """
     if q < 0:
         raise ValueError(f"negative Q factor: {q}")
+    from scipy.special import erfc  # deferred: keeps scipy off the import path
+
     return 0.5 * float(erfc(q / math.sqrt(2.0)))
 
 
@@ -46,6 +46,8 @@ def q_from_ber(ber: float) -> float:
     """
     if not 0 < ber < 0.5:
         raise ValueError(f"BER must be in (0, 0.5): {ber}")
+    from scipy.special import erfcinv
+
     return math.sqrt(2.0) * float(erfcinv(2.0 * ber))
 
 

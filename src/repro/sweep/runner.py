@@ -8,9 +8,10 @@ out across worker processes (``ProcessPoolExecutor``), with:
   without touching the simulator; an interrupted sweep therefore
   resumes where it stopped.
 * **crash isolation** — a worker that raises marks its point failed; a
-  worker that *dies* (segfault, ``os._exit``) breaks the pool, which is
-  rebuilt and the in-flight points retried once — a point that kills
-  the pool twice is marked failed without sinking the sweep.
+  worker that *dies* (segfault, ``os._exit``) breaks the pool, and the
+  points it took down are re-run one at a time in fresh single-worker
+  pools — only a point whose own worker dies is retried (once, by
+  default) and then marked failed, without sinking the sweep.
 * **per-point timeout** — enforced inside the worker via ``SIGALRM``
   so a runaway point fails cleanly and its worker survives.
 * **deterministic JSONL streaming** — results are written in point
@@ -26,6 +27,7 @@ determinism tests compare the parallel runs against.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import signal
 import threading
@@ -132,6 +134,11 @@ def _worker(
     Runs in a worker process (or inline for serial sweeps).  The alarm
     fires inside this process only, so a timeout fails the point
     without poisoning the pool.
+
+    A finished chip is a web of closures and bound-method callbacks
+    that reference counting never frees, so the point's garbage is
+    collected before the next point builds its chip; otherwise dead
+    chips pile up until the next full collection.
     """
     use_alarm = (
         timeout is not None
@@ -150,6 +157,7 @@ def _worker(
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+        gc.collect()
 
 
 @dataclass(frozen=True)
@@ -543,56 +551,74 @@ def _run_pool(
 ) -> None:
     """Fan ``pending`` point indices over a process pool.
 
-    The pool is rebuilt whenever a worker dies; affected points are
-    retried up to ``max_crash_retries`` times, then marked failed.
-    With ``beat`` set, the completion wait wakes up every
-    ``beat_interval`` seconds to emit a heartbeat naming the
+    A worker that dies breaks the pool and fails every point still in
+    it, so those points are re-run one at a time, each in a fresh
+    single-worker pool: a crash is charged only to the point whose own
+    worker died, which is retried up to ``max_crash_retries`` times and
+    then marked failed.  With ``beat`` set, the completion wait wakes
+    up every ``beat_interval`` seconds to emit a heartbeat naming the
     lowest-index in-flight points (the ones occupying workers).
     """
-    crash_counts: dict[int, int] = {}
-    while pending:
-        retry: list[int] = []
-        begin = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_worker, points[i].to_dict(), timeout, execute): i
-                for i in pending
-            }
-            not_done = set(futures)
-            while not_done:
-                if beat is not None:
-                    running = sorted(futures[f] for f in not_done)[:workers]
-                    beat([points[i].label() for i in running])
-                done, not_done = wait(
-                    not_done,
-                    timeout=beat_interval if beat is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    index = futures[future]
-                    point = points[index]
-                    key = (cache.key(point) if cache
-                           else _uncached_key(point, code_version))
-                    elapsed = time.perf_counter() - begin
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        crash_counts[index] = crash_counts.get(index, 0) + 1
-                        if crash_counts[index] > max_crash_retries:
-                            finish(index, _failure(
-                                point, key,
-                                "BrokenProcessPool: worker process died",
-                                elapsed,
-                            ))
-                        else:
-                            retry.append(index)
-                        continue
-                    except Exception as exc:  # noqa: BLE001
-                        finish(index, _failure(
-                            point, key, f"{type(exc).__name__}: {exc}", elapsed,
-                        ))
-                        continue
-                    finish(index, _outcome_from_result(
-                        point, key, result, cache, elapsed,
+    run = functools.partial(
+        _run_batch, points, timeout=timeout, execute=execute, cache=cache,
+        code_version=code_version, finish=finish, beat=beat,
+        beat_interval=beat_interval,
+    )
+    for index in run(pending, workers):
+        for _ in range(max_crash_retries + 1):
+            if not run([index], 1):
+                break
+        else:
+            point = points[index]
+            key = cache.key(point) if cache else _uncached_key(point, code_version)
+            finish(index, _failure(
+                point, key, "BrokenProcessPool: worker process died",
+            ))
+
+
+def _run_batch(
+    points, indices, workers, *, timeout, execute, cache, code_version,
+    finish, beat, beat_interval,
+) -> list[int]:
+    """Run ``indices`` in one fresh pool; the indices it broke on.
+
+    Every other point is finished; the returned ones are left for the
+    caller, since a dead worker fails every point still in the pool.
+    """
+    broken: list[int] = []
+    begin = time.perf_counter()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(_worker, points[i].to_dict(), timeout, execute): i
+            for i in indices
+        }
+        not_done = set(futures)
+        while not_done:
+            if beat is not None:
+                running = sorted(futures[f] for f in not_done)[:workers]
+                beat([points[i].label() for i in running])
+            done, not_done = wait(
+                not_done,
+                timeout=beat_interval if beat is not None else None,
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                index = futures[future]
+                point = points[index]
+                key = (cache.key(point) if cache
+                       else _uncached_key(point, code_version))
+                elapsed = time.perf_counter() - begin
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    broken.append(index)
+                    continue
+                except Exception as exc:  # noqa: BLE001
+                    finish(index, _failure(
+                        point, key, f"{type(exc).__name__}: {exc}", elapsed,
                     ))
-        pending = sorted(retry)
+                    continue
+                finish(index, _outcome_from_result(
+                    point, key, result, cache, elapsed,
+                ))
+    return sorted(broken)

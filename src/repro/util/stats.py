@@ -16,6 +16,7 @@ of their stats as one nested, printable dictionary.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable
 
 __all__ = ["Counter", "LatencyStat", "Histogram", "StatGroup", "geometric_mean"]
@@ -60,15 +61,16 @@ class Counter:
 class LatencyStat:
     """Accumulates scalar samples; reports count/mean/min/max/percentiles.
 
-    Samples are kept (as floats) so percentiles are exact; the experiments
-    here record at most a few hundred thousand samples per run.
+    Samples are kept so percentiles are exact; the experiments here
+    record at most a few hundred thousand samples per run, stored as
+    packed doubles (8 bytes each rather than a 32-byte float object).
     """
 
     __slots__ = ("name", "samples", "_sorted")
 
     def __init__(self, name: str):
         self.name = name
-        self.samples: list[float] = []
+        self.samples = array("d")
         self._sorted: list[float] | None = None
 
     def record(self, value: float) -> None:

@@ -33,8 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cpu.core import Op, OpKind
+from repro.cpu.sync import SyncManager
 
-__all__ = ["AppSignature", "AppWorkload", "APPLICATIONS", "signature"]
+__all__ = [
+    "AppSignature",
+    "AppWorkload",
+    "APPLICATIONS",
+    "WarmLines",
+    "signature",
+    "warm_lines",
+]
 
 #: Address-region bases (line numbers).  Regions never overlap: private
 #: and streaming regions are per-node, the shared pool is global.
@@ -340,3 +348,67 @@ class AppWorkload:
         if y < side - 1:
             candidates.append(self.node + side)
         return candidates[int(rng.integers(0, len(candidates)))]
+
+
+class WarmLines:
+    """A set of lines answered by region arithmetic instead of storage.
+
+    Members are, for each ``k`` in ``range(count)``, the lines
+    ``base + k * stride + window.start`` up to (excluding)
+    ``base + k * stride + window.stop``, plus every line of ``ranges``.
+    :meth:`discard` consumes a member; only consumed lines are stored,
+    so the footprint is the lines touched rather than the lines covered
+    (a 64-node warm start covers ~266k lines).
+    """
+
+    __slots__ = ("_base", "_stride", "_span", "_lo", "_hi", "_ranges",
+                 "_consumed")
+
+    def __init__(self, base: int, stride: int, count: int, window: range,
+                 ranges: tuple[range, ...] = ()):
+        if not 0 <= window.start <= window.stop <= stride:
+            raise ValueError(f"window {window} does not fit a stride of {stride}")
+        self._base = base
+        self._stride = stride
+        self._span = count * stride
+        self._lo = window.start
+        self._hi = window.stop
+        self._ranges = ranges
+        self._consumed: set[int] = set()
+
+    def __contains__(self, line: int) -> bool:
+        offset = line - self._base
+        if 0 <= offset < self._span:
+            if not self._lo <= offset % self._stride < self._hi:
+                return False
+        elif not any(line in lines for lines in self._ranges):
+            return False
+        return line not in self._consumed
+
+    def __len__(self) -> int:
+        covered = self._span // self._stride * (self._hi - self._lo)
+        return covered + sum(map(len, self._ranges)) - len(self._consumed)
+
+    def discard(self, line: int) -> None:
+        if line in self:
+            self._consumed.add(line)
+
+
+def warm_lines(signature: AppSignature, num_nodes: int) -> WarmLines:
+    """The lines a warm start leaves resident-valid (DV) in the L2.
+
+    Every node's reuse region minus its L1-hot prefix (warm start
+    installs the hot set in the owner's L1 instead), the shared pool,
+    the barrier line and the lock lines.
+    """
+    hot = signature.hot_lines
+    return WarmLines(
+        _PRIVATE_BASE, _REGION, num_nodes,
+        range(hot, hot + signature.cold_lines),
+        (
+            range(_SHARED_BASE, _SHARED_BASE + signature.shared_pool_lines),
+            # The barrier line, then lock lines 0..lock_count-1.
+            range(SyncManager.barrier_line(),
+                  SyncManager.lock_line(signature.lock_count)),
+        ),
+    )

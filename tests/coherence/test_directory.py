@@ -8,6 +8,7 @@ from repro.coherence.directory import (
     DirState,
 )
 from repro.coherence.messages import CoherenceMessage, MsgType
+from repro.workloads.splash2 import WarmLines
 
 LINE = 0x99
 
@@ -89,6 +90,15 @@ class TestDvState:
         d.replace(LINE)
         assert d.state(LINE) is DirState.DI
         assert not any(m.mtype is MsgType.MEM_WRITE for m in log)  # clean
+        # A warm-started line is DV until its first touch; evicted after
+        # that, it comes back DI, never DV.
+        d, _ = make_dir()
+        d.preload_valid(WarmLines(LINE, 1, 1, range(1)))
+        assert d.state(LINE) is DirState.DV
+        assert d.entry(LINE).state is DirState.DV
+        d.replace(LINE)
+        assert d.state(LINE) is DirState.DI
+        assert d.entry(LINE).state is DirState.DI
 
     def test_replace_dirty_writes_memory(self):
         d, log = make_dir()

@@ -5,16 +5,19 @@ start method so module-level test functions resolve in the workers;
 Linux (and CI) default to fork.
 """
 
+import gc
 import json
 import multiprocessing
 import os
 import time
+import weakref
 
 import pytest
 
 from repro.cli import main
 from repro.sweep import (
     ResultCache,
+    SweepPoint,
     SweepSpec,
     load_jsonl,
     make_point,
@@ -47,6 +50,29 @@ def _crash_on_ba(point_dict):
     if point_dict["app"] == "ba":
         os._exit(9)  # simulate a segfaulting worker
     return {"app": point_dict["app"]}
+
+
+def _crash_on_ba_slow_siblings(point_dict):
+    if point_dict["app"] == "ba":
+        os._exit(9)
+    time.sleep(0.3)  # still running when the "ba" worker dies
+    return {"app": point_dict["app"]}
+
+
+#: Weak references to the chips built by ``_chip_execute``, in point order.
+_CHIPS: list = []
+
+
+def _chip_execute(point_dict):
+    """Run the point's chip; report how many earlier chips are alive."""
+    from repro.cmp import CmpSystem
+
+    alive = sum(ref() is not None for ref in _CHIPS)
+    point = SweepPoint.from_dict(point_dict)
+    system = CmpSystem(point.to_config())
+    system.run(point.cycles)
+    _CHIPS.append(weakref.ref(system))
+    return {"earlier_chips_alive": alive}
 
 
 def _fail_on_ba(point_dict):
@@ -211,11 +237,39 @@ class TestParallel:
         assert "worker process died" in by_app["ba"].error
         assert by_app["lu"].ok and by_app["oc"].ok
 
+    @needs_fork
+    def test_crash_is_not_charged_to_slow_siblings(self):
+        """Points that shared the dying worker's pool are not charged."""
+        spec = _spec(apps=("ba", "lu", "oc"), networks=("fsoi",))
+        report = run_sweep(spec.points(), workers=2,
+                           execute=_crash_on_ba_slow_siblings)
+        by_app = {o.point.app: o for o in report.outcomes}
+        assert not by_app["ba"].ok
+        assert "worker process died" in by_app["ba"].error
+        assert by_app["lu"].ok and by_app["oc"].ok
+        assert by_app["lu"].result == {"app": "lu"}
+
     def test_timeout_fails_point_cleanly(self):
         points = _spec(apps=("ba", "lu"), networks=("fsoi",)).points()
         report = run_sweep(points, workers=1, execute=_hang, timeout=0.2)
         assert report.failed == 2
         assert all("timeout" in o.error.lower() for o in report.outcomes)
+
+
+class TestReclamation:
+    def test_each_chip_is_collected_before_the_next_point(self):
+        """A finished chip is cyclic garbage; the runner reclaims it."""
+        _CHIPS.clear()
+        points = _spec(apps=("ba", "lu", "oc"), networks=("fsoi",),
+                       cycles=50).points()
+        gc.disable()
+        try:
+            report = run_sweep(points, workers=1, execute=_chip_execute)
+        finally:
+            gc.enable()
+        assert report.ok == 3
+        assert [o.result["earlier_chips_alive"] for o in report.outcomes] \
+            == [0, 0, 0]
 
 
 class TestJsonl:

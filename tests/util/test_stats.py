@@ -91,6 +91,15 @@ class TestLatencyStat:
         with pytest.raises(ValueError):
             stat.percentile(100.5)
 
+    def test_samples_are_packed_doubles_in_order(self):
+        stat = LatencyStat("t")
+        values = [3, 0.1, 2.5, 0.2, 7]
+        for v in values:
+            stat.record(v)
+        assert stat.samples.typecode == "d"
+        assert list(stat.samples) == [float(v) for v in values]
+        assert stat.total == sum(float(v) for v in values)
+
     def test_nan_rejected(self):
         stat = LatencyStat("t")
         with pytest.raises(ValueError):

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.core import OpKind
-from repro.workloads.splash2 import APPLICATIONS, AppSignature, AppWorkload, signature
+from repro.cpu.sync import SyncManager
+from repro.workloads.splash2 import (
+    APPLICATIONS,
+    AppSignature,
+    AppWorkload,
+    WarmLines,
+    signature,
+    warm_lines,
+)
 from repro.workloads.traffic import (
     BernoulliTraffic,
     hotspot_pattern,
@@ -202,3 +210,55 @@ class TestAppWorkload:
                 private_total += 1
                 private_writes += op.is_write
         assert shared_writes / shared_total < private_writes / private_total
+
+
+def materialized_warm_set(label: str, num_nodes: int) -> set[int]:
+    """The warm set as a plain set: reuse, shared and sync lines minus hot."""
+    sig = signature(label)
+    workloads = [AppWorkload(sig, node, num_nodes) for node in range(num_nodes)]
+    lines: set[int] = set()
+    for workload in workloads:
+        lines.update(workload.reuse_lines())
+    lines.update(workloads[0].shared_lines())
+    lines.add(SyncManager.barrier_line())
+    lines.update(SyncManager.lock_line(i) for i in range(sig.lock_count))
+    for workload in workloads:
+        lines.difference_update(workload.reuse_lines()[: sig.hot_lines])
+    return lines
+
+
+class TestWarmLines:
+    @pytest.mark.parametrize("num_nodes", [16, 64])
+    @pytest.mark.parametrize("label", ["ro", "mp"])
+    def test_membership_matches_materialized_set(self, label, num_nodes):
+        expected = materialized_warm_set(label, num_nodes)
+        warm = warm_lines(signature(label), num_nodes)
+        assert len(warm) == len(expected)
+        assert all(line in warm for line in expected)
+        # Both ends of every contiguous run, one past each end, and lines
+        # in every node's stream region.
+        ordered = sorted(expected)
+        probes = {ordered[0] - 1, ordered[-1] + 1}
+        for before, after in zip(ordered, ordered[1:]):
+            if after != before + 1:
+                probes.update((before, before + 1, after - 1, after))
+        for node in range(num_nodes + 1):
+            stream = AppWorkload(signature(label), node, num_nodes)._stream_base
+            probes.update((stream - 1, stream, stream + 1))
+        probes.update((0, 1 << 22, 1 << 32, 1 << 38, 1 << 40))
+        assert {line for line in probes if line in warm} == probes & expected
+
+    def test_consumed_line_is_no_longer_warm(self):
+        warm = warm_lines(signature("ba"), 16)
+        line = next(iter(materialized_warm_set("ba", 16)))
+        size = len(warm)
+        warm.discard(line)
+        assert line not in warm
+        assert len(warm) == size - 1
+        warm.discard(line)
+        warm.discard(0)  # never a member
+        assert len(warm) == size - 1
+
+    def test_window_must_fit_the_stride(self):
+        with pytest.raises(ValueError):
+            WarmLines(0, 8, 2, range(4, 9))
